@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/wire.hpp"
-#include "runtime/ring.hpp"
 
 namespace dodo::apps {
 
@@ -86,33 +85,8 @@ sim::Co<void> LoadGenerator::session(int client, int slot) {
   if (rd >= 0) {
     report_->mopen_latency.observe(sim.now() - t_open);
     const SimTime t_read = sim.now();
-    bool read_ok;
-    if (cfg_.ring_depth > 0) {
-      // Ring mode: split the read into ring_op-sized submissions and reap
-      // completions in bulk — no coroutine per op on the coalesced path.
-      runtime::DodoRing ring(sim, cl,
-                             static_cast<std::size_t>(cfg_.ring_depth));
-      const Bytes64 step = std::max<Bytes64>(1, cfg_.ring_op);
-      std::uint64_t nops = 0;
-      for (Bytes64 off = 0; off < cfg_.read_len; off += step, ++nops) {
-        runtime::Sqe sqe;
-        sqe.op = runtime::RingOp::kRead;
-        sqe.rd = rd;
-        sqe.offset = off;
-        sqe.len = std::min(step, cfg_.read_len - off);
-        sqe.user_data = nops;
-        co_await ring.submit(sqe);
-      }
-      co_await ring.drain();
-      read_ok = true;
-      for (std::uint64_t i = 0; i < nops; ++i) {
-        const auto cqe = ring.try_reap();
-        if (!cqe.has_value() || cqe->n < 0) read_ok = false;
-      }
-    } else {
-      const Bytes64 n = co_await cl.mread(rd, 0, nullptr, cfg_.read_len);
-      read_ok = n >= 0;
-    }
+    const bool read_ok =
+        co_await cl.mread(rd, 0, nullptr, cfg_.read_len) >= 0;
     if (read_ok) report_->mread_latency.observe(sim.now() - t_read);
     const int closed = co_await cl.mclose(rd);
     ok = read_ok && closed == 0;

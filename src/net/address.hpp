@@ -25,7 +25,13 @@ struct Endpoint {
 };
 
 inline std::string to_string(const Endpoint& e) {
-  return "n" + std::to_string(e.node) + ":" + std::to_string(e.port);
+  // Built by appending: GCC 12 at -O3 flags "lit" + std::to_string(...)
+  // with a false-positive -Wrestrict.
+  std::string s = "n";
+  s += std::to_string(e.node);
+  s += ':';
+  s += std::to_string(e.port);
+  return s;
 }
 
 struct EndpointHash {

@@ -10,6 +10,18 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
     out.push_back(HealthViolation{rule, std::move(detail)});
   };
   auto i64 = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  // "+<d> <what> in one interval (cap <cap>)". Built by appending: GCC 12
+  // at -O3 flags "+" + std::to_string(...) with a false-positive -Wrestrict.
+  auto rate_detail = [](std::int64_t d, const char* what, std::int64_t cap) {
+    std::string s = "+";
+    s += std::to_string(d);
+    s += ' ';
+    s += what;
+    s += " in one interval (cap ";
+    s += std::to_string(cap);
+    s += ')';
+    return s;
+  };
 
   // -- live conservation rules (hold at any instant) ------------------------
   const std::int64_t total = i64(snap.counter_value("client.mreads_total"));
@@ -53,8 +65,7 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
           fallbacks - i64(prev_.counter_value("client.disk_fallbacks"));
       if (d > cfg_.disk_fallback_spike) {
         violate("rate.disk_fallback_spike",
-                "+" + std::to_string(d) + " fallbacks in one interval (cap " +
-                    std::to_string(cfg_.disk_fallback_spike) + ")");
+                rate_detail(d, "fallbacks", cfg_.disk_fallback_spike));
       }
     }
     if (cfg_.replica_shortfall_growth > 0) {
@@ -63,8 +74,7 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
           i64(prev_.counter_value("cmd.replica_shortfalls"));
       if (d > cfg_.replica_shortfall_growth) {
         violate("rate.replica_shortfall",
-                "+" + std::to_string(d) + " shortfalls in one interval (cap " +
-                    std::to_string(cfg_.replica_shortfall_growth) + ")");
+                rate_detail(d, "shortfalls", cfg_.replica_shortfall_growth));
       }
     }
   }

@@ -1,12 +1,13 @@
-// Zero-copy batched data path (DESIGN.md §16): the submission/completion
-// ring over libdodo, mread coalescing behind it, and the scatter-gather
-// fan-in underneath. These tests pin the ring contract (FIFO completions
-// for a coalesced batch, backpressure at depth, retry-safe completion
-// around mclose), the window=0 wire byte-identity guarantee, the
-// fragment-boundary degradation rule (only the byte range whose host died
-// goes to disk), and the PR-5 use-after-suspension regression (batch
-// descriptors copy Entry fields before the first co_await, so an eviction
-// mid-batch cannot leave a dangling pointer).
+// The submission/completion ring over libdodo (DESIGN.md §16) and the one
+// place reads merge: adjacent reads submitted in the same sim instant share
+// one transfer of at most DodoRing::kMaxRunBytes. These tests pin the ring
+// contract (FIFO completions within a run, backpressure at depth, clean
+// completion around mclose), the merge rule (a write ends a run; a lone
+// read costs exactly one direct mread_ex), an idle ring's invisibility on
+// the wire, the fragment-boundary degradation rule (only the byte range
+// whose host died goes to disk), and the use-after-suspension rule (a run
+// copies Entry fields before its first co_await, so an eviction mid-run
+// cannot leave a dangling pointer).
 // Labeled `ring` (ctest -L ring / the ring test preset).
 #include <gtest/gtest.h>
 
@@ -40,15 +41,14 @@ struct RingFixture {
   DodoClient client;
   int fd = -1;
 
-  explicit RingFixture(int hosts, core::CmdParams cp,
-                       ClientParams clp = ClientParams{})
+  explicit RingFixture(int hosts, core::CmdParams cp)
       : net(sim, net::NetParams::unet(),
             static_cast<std::size_t>(hosts) + 2),
         spans(sim),
         cmd(sim, net, 0, cp),
         fs(sim),
         client(sim, net, 1, net::Endpoint{0, core::kCmdPort}, fs,
-               with_spans(&spans, clp)) {
+               with_spans(&spans)) {
     cmd.start();
     for (int i = 0; i < hosts; ++i) {
       core::ImdParams p;
@@ -70,14 +70,8 @@ struct RingFixture {
     return p;
   }
 
-  static ClientParams coalescing(Bytes64 window, Duration timer) {
+  static ClientParams with_spans(obs::SpanRecorder* rec) {
     ClientParams p;
-    p.coalesce_window_bytes = window;
-    p.coalesce_window = timer;
-    return p;
-  }
-
-  static ClientParams with_spans(obs::SpanRecorder* rec, ClientParams p) {
     p.spans = rec;
     return p;
   }
@@ -101,6 +95,18 @@ net::Buf pattern(std::size_t n, std::uint8_t salt = 0) {
     b[i] = static_cast<std::uint8_t>((i * 131 + salt) & 0xff);
   }
   return b;
+}
+
+Sqe read_sqe(int rd, Bytes64 offset, Bytes64 len, std::uint8_t* buf,
+             std::uint64_t user_data) {
+  Sqe sqe;
+  sqe.op = RingOp::kRead;
+  sqe.rd = rd;
+  sqe.offset = offset;
+  sqe.len = len;
+  sqe.buf = buf;
+  sqe.user_data = user_data;
+  return sqe;
 }
 
 // FNV-1a over everything that makes a datagram a datagram: endpoints,
@@ -129,29 +135,26 @@ struct WireDigest {
 };
 
 TEST(Ring, SubmissionCompletionOrdering) {
-  // Six adjacent 4 KiB reads submitted through the ring coalesce into one
-  // batch (one bulk transfer) and complete FIFO: CQE user_data comes back
-  // in submission order, each op byte-exact against its own slice.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 1 * kMillisecond));
-  fx.run([](RingFixture& f) -> Co<void> {
+  // Six adjacent 4 KiB reads submitted in one instant merge into two
+  // transfers, 16 KiB (the run cap) and 8 KiB, and complete FIFO: CQE
+  // user_data comes back in submission order, each read byte-exact against
+  // its own slice.
+  RingFixture fx(1, RingFixture::plain());
+  std::uint64_t recvs_before = 0;
+  fx.run([&recvs_before](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
     EXPECT_GE(rd, 0);
     net::Buf data = pattern(static_cast<std::size_t>(rlen), 3);
     EXPECT_EQ(co_await f.client.mwrite(rd, 0, data.data(), rlen), rlen);
+    recvs_before = f.client.bulk_stats().recvs_started.value();
 
     DodoRing ring(f.sim, f.client, 16);
     net::Buf got(static_cast<std::size_t>(24_KiB), 0);
     for (std::uint64_t i = 0; i < 6; ++i) {
-      Sqe sqe;
-      sqe.op = RingOp::kRead;
-      sqe.rd = rd;
-      sqe.offset = static_cast<Bytes64>(i) * 4_KiB;
-      sqe.len = 4_KiB;
-      sqe.buf = got.data() + static_cast<std::ptrdiff_t>(i * 4096);
-      sqe.user_data = i;
-      EXPECT_TRUE(ring.try_submit(sqe));
+      EXPECT_TRUE(ring.try_submit(
+          read_sqe(rd, static_cast<Bytes64>(i) * 4_KiB, 4_KiB,
+                   got.data() + static_cast<std::ptrdiff_t>(i * 4096), i)));
     }
     EXPECT_EQ(ring.in_flight(), 6u);
     co_await ring.drain();
@@ -160,7 +163,7 @@ TEST(Ring, SubmissionCompletionOrdering) {
       const auto cqe = ring.try_reap();
       EXPECT_TRUE(cqe.has_value());
       if (!cqe.has_value()) continue;
-      EXPECT_EQ(cqe->user_data, i);  // FIFO: flush resolves ops in order
+      EXPECT_EQ(cqe->user_data, i);  // FIFO: each run completes in order
       EXPECT_EQ(cqe->n, 4_KiB);
       EXPECT_TRUE(cqe->filled);
       EXPECT_FALSE(cqe->degraded);
@@ -173,19 +176,107 @@ TEST(Ring, SubmissionCompletionOrdering) {
   EXPECT_EQ(m.ring_completed, 6u);
   EXPECT_EQ(m.ring_full_rejects, 0u);
   EXPECT_EQ(m.ring_peak_depth, 6u);
-  EXPECT_EQ(m.batched_reads, 6u);
-  EXPECT_EQ(m.coalesced_mreads, 6u);
-  EXPECT_EQ(m.batch_flushes, 1u);  // one merged bulk transfer
-  EXPECT_EQ(m.remote_hits, 6u);
+  EXPECT_EQ(m.ring_merged_reads, 6u);
+  // Two transfers, each one mread: 16 KiB then 8 KiB.
+  EXPECT_EQ(fx.client.bulk_stats().recvs_started.value() - recvs_before, 2u);
+  EXPECT_EQ(m.mreads_total, 2u);
+  EXPECT_EQ(m.remote_hits, 2u);
+  EXPECT_EQ(m.remote_read_bytes, 24_KiB);
   EXPECT_EQ(m.mreads_degraded, 0u);
-  // The merged read landed scatter-gather, one segment per op.
-  EXPECT_EQ(fx.client.bulk_stats().sg_recvs.value(), 1u);
+  const obs::MetricsSnapshot snap = fx.client.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value("client.ring_merged_reads"), 6u);
+}
+
+TEST(Ring, LoneReadCostsOneDirectMread) {
+  // No timer: a lone read through a depth-1 ring completes at the same sim
+  // time as the same read issued directly with mread_ex.
+  auto elapsed = [](bool through_ring) {
+    RingFixture fx(1, RingFixture::plain());
+    Duration took = -1;
+    fx.run([through_ring, &took](RingFixture& f) -> Co<void> {
+      const Bytes64 rlen = 64_KiB;
+      const int rd = co_await f.client.mopen(rlen, f.fd, 0);
+      EXPECT_GE(rd, 0);
+      net::Buf data = pattern(static_cast<std::size_t>(rlen), 5);
+      EXPECT_EQ(co_await f.client.mwrite(rd, 0, data.data(), rlen), rlen);
+      net::Buf got(static_cast<std::size_t>(4_KiB), 0);
+      DodoRing ring(f.sim, f.client, 1);
+      const SimTime t0 = f.sim.now();
+      Bytes64 n = -1;
+      if (through_ring) {
+        EXPECT_TRUE(ring.try_submit(read_sqe(rd, 8_KiB, 4_KiB, got.data(), 0)));
+        n = (co_await ring.reap()).n;
+      } else {
+        n = (co_await f.client.mread_ex(rd, 8_KiB, got.data(), 4_KiB)).n;
+      }
+      took = f.sim.now() - t0;
+      EXPECT_EQ(n, 4_KiB);
+      const auto at = static_cast<std::ptrdiff_t>(8_KiB);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + at));
+      EXPECT_EQ(co_await f.client.mclose(rd), 0);
+    });
+    EXPECT_EQ(fx.client.metrics().ring_merged_reads, 0u);
+    return took;
+  };
+  const Duration direct = elapsed(false);
+  EXPECT_GT(direct, 0);
+  EXPECT_EQ(elapsed(true), direct);
+}
+
+TEST(Ring, WriteEndsRun) {
+  // Two adjacent reads submitted together share a transfer; the same two
+  // reads with a write submitted between them do not — a read submitted
+  // after a write never joins a run opened before it.
+  RingFixture fx(1, RingFixture::plain());
+  fx.run([](RingFixture& f) -> Co<void> {
+    const Bytes64 rlen = 64_KiB;
+    const int rd = co_await f.client.mopen(rlen, f.fd, 0);
+    EXPECT_GE(rd, 0);
+    net::Buf data = pattern(static_cast<std::size_t>(rlen), 29);
+    EXPECT_EQ(co_await f.client.mwrite(rd, 0, data.data(), rlen), rlen);
+
+    DodoRing ring(f.sim, f.client, 8);
+    net::Buf got(static_cast<std::size_t>(8_KiB), 0);
+    EXPECT_TRUE(ring.try_submit(read_sqe(rd, 0, 4_KiB, got.data(), 0)));
+    EXPECT_TRUE(ring.try_submit(
+        read_sqe(rd, 4_KiB, 4_KiB, got.data() + 4096, 1)));
+    co_await ring.drain();
+    EXPECT_EQ(f.client.metrics().ring_merged_reads, 2u);
+
+    net::Buf fresh = pattern(static_cast<std::size_t>(4_KiB), 31);
+    Sqe write;
+    write.op = RingOp::kWrite;
+    write.rd = rd;
+    write.offset = 32_KiB;  // away from the reads: their bytes stay known
+    write.len = 4_KiB;
+    write.wbuf = fresh.data();
+    write.user_data = 2;
+    EXPECT_TRUE(ring.try_submit(read_sqe(rd, 0, 4_KiB, got.data(), 3)));
+    EXPECT_TRUE(ring.try_submit(write));
+    EXPECT_TRUE(ring.try_submit(
+        read_sqe(rd, 4_KiB, 4_KiB, got.data() + 4096, 4)));
+    co_await ring.drain();
+    EXPECT_EQ(f.client.metrics().ring_merged_reads, 2u);  // no new merge
+    for (int i = 0; i < 5; ++i) {
+      const auto cqe = ring.try_reap();
+      EXPECT_TRUE(cqe.has_value());
+      if (cqe.has_value()) {
+        EXPECT_EQ(cqe->n, 4_KiB);
+      }
+    }
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
+    EXPECT_EQ(co_await f.client.mclose(rd), 0);
+  });
+  const auto& m = fx.client.metrics();
+  EXPECT_EQ(m.ring_submitted, 5u);
+  EXPECT_EQ(m.ring_completed, 5u);
+  EXPECT_EQ(m.mreads_total, 3u);  // one merged run, then two lone reads
 }
 
 TEST(Ring, RingFullBackpressure) {
   // Depth 2: the third try_submit is rejected (counted), while the
   // awaitable submit() parks until a completion frees a slot.
-  RingFixture fx(1, RingFixture::plain());  // coalescing off: one op = one RPC
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -196,14 +287,8 @@ TEST(Ring, RingFullBackpressure) {
     DodoRing ring(f.sim, f.client, 2);
     net::Buf got(static_cast<std::size_t>(12_KiB), 0);
     auto make = [&](std::uint64_t i) {
-      Sqe sqe;
-      sqe.op = RingOp::kRead;
-      sqe.rd = rd;
-      sqe.offset = static_cast<Bytes64>(i) * 4_KiB;
-      sqe.len = 4_KiB;
-      sqe.buf = got.data() + static_cast<std::ptrdiff_t>(i * 4096);
-      sqe.user_data = i;
-      return sqe;
+      return read_sqe(rd, static_cast<Bytes64>(i) * 4_KiB, 4_KiB,
+                      got.data() + static_cast<std::ptrdiff_t>(i * 4096), i);
     };
     EXPECT_TRUE(ring.try_submit(make(0)));
     EXPECT_TRUE(ring.try_submit(make(1)));
@@ -226,13 +311,12 @@ TEST(Ring, RingFullBackpressure) {
 }
 
 TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
-  // Reads queued behind a long coalescing timer when mclose arrives: the
-  // close barrier flushes and awaits the batch, so every queued op
-  // completes with real bytes before the descriptor dies — and a
-  // subsequent submit against the dead descriptor completes with n < 0
-  // through the ring rather than wedging it.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 50 * kMillisecond));
+  // mclose does not wait for ring reads. A merged run already on the wire
+  // when the descriptor closes completes from its own copy of the stripe
+  // map; a run the close overtakes, and a retry against the closed
+  // descriptor, complete cleanly with n < 0 through the ring rather than
+  // wedging it.
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -243,17 +327,13 @@ TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
     DodoRing ring(f.sim, f.client, 8);
     net::Buf got(static_cast<std::size_t>(8_KiB), 0);
     for (std::uint64_t i = 0; i < 2; ++i) {
-      Sqe sqe;
-      sqe.op = RingOp::kRead;
-      sqe.rd = rd;
-      sqe.offset = static_cast<Bytes64>(i) * 4_KiB;
-      sqe.len = 4_KiB;
-      sqe.buf = got.data() + static_cast<std::ptrdiff_t>(i * 4096);
-      sqe.user_data = i;
-      EXPECT_TRUE(ring.try_submit(sqe));
+      EXPECT_TRUE(ring.try_submit(
+          read_sqe(rd, static_cast<Bytes64>(i) * 4_KiB, 4_KiB,
+                   got.data() + static_cast<std::ptrdiff_t>(i * 4096), i)));
     }
-    EXPECT_EQ(ring.in_flight(), 2u);  // parked on the 50ms window timer
-    EXPECT_EQ(co_await f.client.mclose(rd), 0);  // barrier flushes first
+    co_await f.sim.sleep(0);  // the run starts and sends its request
+    EXPECT_EQ(ring.in_flight(), 2u);
+    EXPECT_EQ(co_await f.client.mclose(rd), 0);
     co_await ring.drain();
     for (std::uint64_t i = 0; i < 2; ++i) {
       const auto cqe = ring.try_reap();
@@ -265,36 +345,36 @@ TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
     }
     EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
 
-    // Retry against the closed descriptor: a clean ring-level failure.
-    Sqe late;
-    late.op = RingOp::kRead;
-    late.rd = rd;
-    late.offset = 0;
-    late.len = 4_KiB;
-    late.buf = got.data();
-    late.user_data = 99;
-    EXPECT_TRUE(ring.try_submit(late));
+    // Retry against the closed descriptor: clean ring-level failures, for
+    // a merged run and a lone read alike.
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(ring.try_submit(
+          read_sqe(rd, static_cast<Bytes64>(i % 2) * 4_KiB, 4_KiB,
+                   got.data() + static_cast<std::ptrdiff_t>((i % 2) * 4096),
+                   90 + i)));
+    }
     co_await ring.drain();
-    const auto cqe = ring.try_reap();
-    EXPECT_TRUE(cqe.has_value());
-    if (cqe.has_value()) {
-      EXPECT_EQ(cqe->user_data, 99u);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const auto cqe = ring.try_reap();
+      EXPECT_TRUE(cqe.has_value());
+      if (!cqe.has_value()) continue;
+      EXPECT_EQ(cqe->user_data, 90 + i);
       EXPECT_LT(cqe->n, 0);
       EXPECT_TRUE(cqe->degraded);
     }
   });
-  EXPECT_EQ(fx.client.metrics().ring_submitted,
-            fx.client.metrics().ring_completed);
-  EXPECT_EQ(fx.client.metrics().batch_write_barriers, 1u);  // the mclose
+  const auto& m = fx.client.metrics();
+  EXPECT_EQ(m.ring_submitted, m.ring_completed);
+  EXPECT_EQ(m.ring_merged_reads, 4u);
+  EXPECT_EQ(m.mreads_total, m.remote_hits + m.mreads_degraded);
 }
 
-TEST(Ring, WindowZeroWireByteIdentity) {
-  // Batching off must be invisible on the wire: a client with
-  // coalesce_window_bytes = 0 and an attached-but-unused ring produces the
-  // exact datagram sequence of a pre-batching client, byte for byte.
+TEST(Ring, IdleRingIsInvisibleOnTheWire) {
+  // Attaching a ring changes nothing until it is used: a client with an
+  // attached-but-unused ring produces the exact datagram sequence of a
+  // client without one, byte for byte.
   auto drive = [](bool attach_ring) {
-    ClientParams clp;  // window stays 0: coalescing disabled
-    RingFixture fx(2, RingFixture::plain(2), clp);
+    RingFixture fx(2, RingFixture::plain(2));
     WireDigest digest;
     fx.net.set_delivery_probe(
         [&digest](const net::Message& m) { digest.message(m); });
@@ -325,16 +405,15 @@ TEST(Ring, WindowZeroWireByteIdentity) {
   const WireDigest ringed = drive(true);
   EXPECT_GT(base.count, 0u);
   EXPECT_EQ(base.count, ringed.count);
-  EXPECT_EQ(base.h, ringed.h) << "window=0 + idle ring changed the wire";
+  EXPECT_EQ(base.h, ringed.h) << "an idle ring changed the wire";
 }
 
 TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
-  // A coalesced batch spanning a stripe-fragment boundary where exactly one
-  // fragment's host died: only the ops inside the dead fragment degrade to
-  // disk (their full op-relative range), the others stay remote hits, and
-  // the mreads == hits + degraded conservation holds.
-  RingFixture fx(2, RingFixture::plain(2),
-                 RingFixture::coalescing(64_KiB, 1 * kMillisecond));
+  // A merged run spanning a stripe-fragment boundary where exactly one
+  // fragment's host died: only the read inside the dead fragment degrades
+  // to disk (its full op-relative range), the other stays remote, and the
+  // mreads == hits + degraded conservation holds.
+  RingFixture fx(2, RingFixture::plain(2));
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;  // two 32 KiB fragments on two hosts
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -346,18 +425,13 @@ TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
     // Kill one fragment holder; which half it owned is placement detail.
     f.net.set_node_up(f.imds[1]->node(), false);
 
-    // Two adjacent 8 KiB reads crossing the 32 KiB boundary, one batch.
+    // Two adjacent 8 KiB reads crossing the 32 KiB boundary, one run.
     DodoRing ring(f.sim, f.client, 8);
     net::Buf got(static_cast<std::size_t>(16_KiB), 0);
     for (std::uint64_t i = 0; i < 2; ++i) {
-      Sqe sqe;
-      sqe.op = RingOp::kRead;
-      sqe.rd = rd;
-      sqe.offset = 24_KiB + static_cast<Bytes64>(i) * 8_KiB;
-      sqe.len = 8_KiB;
-      sqe.buf = got.data() + static_cast<std::ptrdiff_t>(i * 8192);
-      sqe.user_data = i;
-      EXPECT_TRUE(ring.try_submit(sqe));
+      EXPECT_TRUE(ring.try_submit(
+          read_sqe(rd, 24_KiB + static_cast<Bytes64>(i) * 8_KiB, 8_KiB,
+                   got.data() + static_cast<std::ptrdiff_t>(i * 8192), i)));
     }
     co_await ring.drain();
     int degraded = 0;
@@ -370,7 +444,7 @@ TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
       EXPECT_TRUE(cqe->filled);
       if (cqe->degraded) {
         ++degraded;
-        // The op sits entirely inside the dead fragment: its whole
+        // The read sits entirely inside the dead fragment: its whole
         // op-relative range — and nothing else — went to disk.
         EXPECT_EQ(cqe->disk_ranges.size(), 1u);
         EXPECT_EQ(cqe->disk_ranges[0].first, 0);
@@ -386,19 +460,20 @@ TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
                            data.begin() + static_cast<std::ptrdiff_t>(24_KiB)));
   });
   const auto& m = fx.client.metrics();
+  EXPECT_EQ(m.ring_merged_reads, 2u);
   EXPECT_EQ(m.mreads_total, m.remote_hits + m.mreads_degraded);
-  EXPECT_EQ(m.mreads_degraded, 1u);
+  EXPECT_EQ(m.mreads_degraded, 1u);  // the one run touched the dead host
   EXPECT_GE(m.disk_fallbacks, m.mreads_degraded);
 }
 
 TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
-  // PR-5 regression, batched edition: a batch flush snapshots its Entry
-  // fields before the first co_await. While two flushes sit suspended
-  // against a dead host, the first to resolve prunes that host and erases
-  // the *other* descriptor's Entry mid-flight; the second flush must keep
-  // working from its copies (ASan-clean) and degrade its ops to disk.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 10 * kMillisecond));
+  // Use-after-suspension regression, merged edition: a run's mread_ex
+  // snapshots its Entry fields before the first co_await. While two runs
+  // sit suspended against a dead host, the first to resolve prunes that
+  // host and erases the *other* descriptor's Entry mid-flight; the second
+  // run must keep working from its copies (ASan-clean) and degrade its
+  // reads to disk.
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd1 = co_await f.client.mopen(rlen, f.fd, 0);
@@ -410,22 +485,17 @@ TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
     EXPECT_EQ(co_await f.client.mwrite(rd1, 0, d1.data(), rlen), rlen);
     EXPECT_EQ(co_await f.client.mwrite(rd2, 0, d2.data(), rlen), rlen);
 
-    // Both regions live on the single host; kill it, then queue a batch on
-    // each descriptor. Both flushes will time out against the dead host;
+    // Both regions live on the single host; kill it, then submit a merged
+    // run on each descriptor. Both runs time out against the dead host;
     // whichever resolves first prunes the host and drops the other Entry
-    // out from under its suspended flush.
+    // out from under its suspended run.
     f.net.set_node_up(f.imds[0]->node(), false);
     DodoRing ring(f.sim, f.client, 8);
     net::Buf got(static_cast<std::size_t>(16_KiB), 0);
     auto sub = [&](int rd, std::uint64_t ud, std::ptrdiff_t at) {
-      Sqe sqe;
-      sqe.op = RingOp::kRead;
-      sqe.rd = rd;
-      sqe.offset = static_cast<Bytes64>(ud & 1) * 4_KiB;
-      sqe.len = 4_KiB;
-      sqe.buf = got.data() + at;
-      sqe.user_data = ud;
-      EXPECT_TRUE(ring.try_submit(sqe));
+      EXPECT_TRUE(ring.try_submit(read_sqe(
+          rd, static_cast<Bytes64>(ud & 1) * 4_KiB, 4_KiB, got.data() + at,
+          ud)));
     };
     sub(rd1, 0, 0);
     sub(rd1, 1, 4096);
@@ -441,6 +511,7 @@ TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
       EXPECT_TRUE(cqe->degraded);
       EXPECT_EQ(cqe->disk_ranges.size(), 1u);
       if (!cqe->disk_ranges.empty()) {
+        EXPECT_EQ(cqe->disk_ranges[0].first, 0);
         EXPECT_EQ(cqe->disk_ranges[0].second, 4_KiB);
       }
     }
@@ -452,11 +523,12 @@ TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
                            got.end(), d2.begin()));
   });
   const auto& m = fx.client.metrics();
-  EXPECT_EQ(m.mreads_total, 4u);
-  EXPECT_EQ(m.mreads_degraded, 4u);
+  EXPECT_EQ(m.ring_merged_reads, 4u);
+  EXPECT_EQ(m.mreads_total, 2u);  // one mread per run
+  EXPECT_EQ(m.mreads_degraded, 2u);
   EXPECT_EQ(m.remote_hits, 0u);
   EXPECT_EQ(m.mreads_total, m.remote_hits + m.mreads_degraded);
-  EXPECT_GE(m.disk_fallbacks, 4u);
+  EXPECT_GE(m.disk_fallbacks, 2u);
   EXPECT_EQ(m.ring_submitted, m.ring_completed);
 }
 

@@ -207,7 +207,9 @@ TEST(Stripe, LostFragmentDegradesOnlyItsRange) {
     EXPECT_EQ(back, data);
     // Exactly one 64 KiB fragment range fell back to the backing file.
     EXPECT_EQ(rr.disk_ranges.size(), 1u);
-    if (!rr.disk_ranges.empty()) EXPECT_EQ(rr.disk_ranges[0].second, 64_KiB);
+    if (!rr.disk_ranges.empty()) {
+      EXPECT_EQ(rr.disk_ranges[0].second, 64_KiB);
+    }
     // The failed host's descriptors are gone; the others were dropped with
     // it (this descriptor spans all four hosts).
     EXPECT_FALSE(f.client.active(rd));
