@@ -11,8 +11,12 @@
 // rates, mopen/mread latency histograms, and per-shard peak in-flight
 // depth; plus the 1->8 completed-throughput scaling ratio the acceptance
 // gate checks. All exported values are integers, byte-identical per seed.
+// The simulator's own host-side cost (events, host ns/event, peak queue
+// depth, peak live detached tasks) goes to stderr only, so the exports stay
+// byte-identical across hosts.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -73,9 +77,22 @@ void BM_Loadgen(benchmark::State& state) {
     dur_s = dodo::to_seconds(lc.duration);
     dodo::apps::LoadGenerator gen(c, lc);
     rep = {};
+    const std::uint64_t events_before = c.sim().events_processed();
+    const auto host_start = std::chrono::steady_clock::now();
     c.run_app([&](dodo::cluster::Cluster&) -> dodo::sim::Co<void> {
       co_await gen.run(&rep);
     });
+    const double host_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - host_start)
+            .count());
+    const std::uint64_t events = c.sim().events_processed() - events_before;
+    std::fprintf(stderr,
+                 "loadgen shards=%d host: %llu events, %.0f ns/event, peak "
+                 "queue depth %zu, peak detached tasks %zu\n",
+                 shards, static_cast<unsigned long long>(events),
+                 events > 0 ? host_ns / static_cast<double>(events) : 0.0,
+                 c.sim().peak_queue_depth(), c.sim().peak_detached_tasks());
     const std::string p = "shards" + std::to_string(shards) + ".";
     exporter.record_timeline(c, "shards" + std::to_string(shards));
     exporter.absorb(rep.snapshot().prefixed(p));

@@ -175,43 +175,6 @@ void Network::send(Message msg) {
   const SimTime arrive = depart + wire_time(payload) + params_.propagation;
   tx_free_[msg.src.node] = depart + wire_time(payload);
 
-  // The receive link is claimed at ARRIVAL time, not send time: with several
-  // senders blasting one node concurrently (striped fan-out reads), frames
-  // interleave on the receiver in arrival order. Reserving rx_free_ here at
-  // send() time would let the first caller's whole blast pre-empt frames of
-  // a concurrent sender that physically land earlier, serializing transfers
-  // that should overlap. So each datagram is scheduled at its wire-arrival
-  // instant, and only then claims the receiver's CPU slot.
-  //
-  // Capture by value: the socket may close before delivery, so we re-resolve
-  // the destination at delivery time, exactly like a NIC handing a frame to
-  // a port nobody listens on.
-  auto schedule_arrival = [this, payload](SimTime at, Message m) {
-    sim_.schedule(at, [this, payload, m = std::move(m)]() mutable {
-      const SimTime rx_start = sim_.now() > rx_free_[m.dst.node]
-                                   ? sim_.now()
-                                   : rx_free_[m.dst.node];
-      const SimTime deliver_at = rx_start + recv_cpu_time(payload);
-      rx_free_[m.dst.node] = deliver_at;
-      sim_.schedule(deliver_at, [this, m = std::move(m)]() mutable {
-        if (!node_up(m.dst.node)) {
-          ++metrics_.datagrams_dropped;
-          return;
-        }
-        auto it = bound_.find(m.dst);
-        if (it == bound_.end()) {
-          ++metrics_.datagrams_dropped;
-          DODO_DEBUG("net", "drop to closed port %s",
-                     to_string(m.dst).c_str());
-          return;
-        }
-        ++metrics_.datagrams_delivered;
-        if (delivery_probe_) delivery_probe_(m);
-        it->second->deliver(std::move(m));
-      });
-    });
-  };
-
   if (dup_filter_ && dup_filter_(msg)) {
     // Deliver an identical copy back-to-back after the original, occupying
     // its own slot on the receive link like any real duplicate frame. The
@@ -224,6 +187,56 @@ void Network::send(Message msg) {
     return;
   }
   schedule_arrival(arrive, std::move(msg));
+}
+
+// The receive link is claimed at ARRIVAL time, not send time: with several
+// senders blasting one node concurrently (striped fan-out reads), frames
+// interleave on the receiver in arrival order. Reserving rx_free_ at send()
+// time would let the first caller's whole blast pre-empt frames of a
+// concurrent sender that physically land earlier, serializing transfers that
+// should overlap. So each datagram is scheduled at its wire-arrival instant,
+// and only then claims the receiver's CPU slot.
+void Network::schedule_arrival(SimTime at, Message msg) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(msg));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(msg);
+  }
+  sim_.schedule(at, [this, slot] { on_arrival(slot); });
+}
+
+void Network::on_arrival(std::uint32_t slot) {
+  const Message& m = in_flight_[slot];
+  const SimTime rx_start =
+      sim_.now() > rx_free_[m.dst.node] ? sim_.now() : rx_free_[m.dst.node];
+  const SimTime deliver_at = rx_start + recv_cpu_time(m.wire_bytes());
+  rx_free_[m.dst.node] = deliver_at;
+  sim_.schedule(deliver_at, [this, slot] { on_delivery(slot); });
+}
+
+// The destination is re-resolved at delivery time: the socket may have
+// closed while the datagram was in flight, exactly like a NIC handing a
+// frame to a port nobody listens on.
+void Network::on_delivery(std::uint32_t slot) {
+  Message m = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  if (!node_up(m.dst.node)) {
+    ++metrics_.datagrams_dropped;
+    return;
+  }
+  auto it = bound_.find(m.dst);
+  if (it == bound_.end()) {
+    ++metrics_.datagrams_dropped;
+    DODO_DEBUG("net", "drop to closed port %s", to_string(m.dst).c_str());
+    return;
+  }
+  ++metrics_.datagrams_delivered;
+  if (delivery_probe_) delivery_probe_(m);
+  it->second->deliver(std::move(m));
 }
 
 void Network::unbind(const Endpoint& ep) { bound_.erase(ep); }

@@ -157,6 +157,13 @@ class Network {
   void send(Message msg);
   void unbind(const Endpoint& ep);
 
+  /// In-flight datagrams wait in a slot pool, so the arrival and delivery
+  /// events capture only {this, slot} and stay in std::function's inline
+  /// buffer.
+  void schedule_arrival(SimTime at, Message msg);
+  void on_arrival(std::uint32_t slot);
+  void on_delivery(std::uint32_t slot);
+
   sim::Simulator& sim_;
   NetParams params_;
   Rng loss_rng_;
@@ -167,6 +174,8 @@ class Network {
   std::set<std::pair<NodeId, NodeId>> cut_links_;  // normalized (lo, hi)
   std::vector<Port> next_ephemeral_;
   std::unordered_map<Endpoint, Socket*, EndpointHash> bound_;
+  std::vector<Message> in_flight_;          // by slot
+  std::vector<std::uint32_t> free_slots_;  // slots of delivered datagrams
   std::function<void(const Message&)> delivery_probe_;
   std::function<bool(const Message&)> drop_filter_;
   std::function<bool(const Message&)> dup_filter_;

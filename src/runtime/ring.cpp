@@ -14,10 +14,13 @@ DodoRing::DodoRing(sim::Simulator& sim, DodoClient& client, std::size_t depth)
 }
 
 bool DodoRing::try_submit(const Sqe& sqe) {
-  if (in_flight_ >= depth_) {
-    client_.ring_note_reject();
-    return false;
-  }
+  if (admit(sqe)) return true;
+  client_.ring_note_reject();
+  return false;
+}
+
+bool DodoRing::admit(const Sqe& sqe) {
+  if (in_flight_ >= depth_) return false;
   ++in_flight_;
   client_.ring_note_submit(static_cast<std::uint64_t>(in_flight_));
   if (sqe.op != RingOp::kRead) {
@@ -44,7 +47,11 @@ bool DodoRing::try_submit(const Sqe& sqe) {
 }
 
 sim::Co<void> DodoRing::submit(Sqe sqe) {
-  while (!try_submit(sqe)) co_await slots_.recv();
+  if (admit(sqe)) co_return;
+  client_.ring_note_reject();
+  do {
+    co_await slots_.recv();
+  } while (!admit(sqe));
 }
 
 sim::Co<void> DodoRing::run_reads(std::unique_ptr<ReadRun> run) {

@@ -21,6 +21,8 @@
 //  - try_submit never suspends; it returns false (and counts a
 //    ring_full_reject) when `depth` ops are already in flight.
 //  - submit() is the awaitable variant: it backpressures until a slot frees.
+//    A submit() that has to park counts one ring_full_reject, however many
+//    completions wake it before it finds a free slot.
 //  - Completions are reaped in completion order (reads of one run complete
 //    in submission order; different runs and writes may reorder, which is
 //    why Cqe carries user_data).
@@ -117,6 +119,8 @@ class DodoRing {
     std::vector<Sqe> sqes;
   };
 
+  /// Queues `sqe` unless `depth` ops are already in flight; counts nothing.
+  bool admit(const Sqe& sqe);
   sim::Co<void> run_reads(std::unique_ptr<ReadRun> run);
   sim::Co<void> run_write(Sqe sqe);
   void post(Cqe c);

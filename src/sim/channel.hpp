@@ -4,21 +4,73 @@
 // never blocks; recv() suspends the receiving coroutine until a value is
 // available; recv_for() additionally wakes with std::nullopt after a timeout.
 //
-// Implementation note on timeouts: events cannot be removed from the event
-// heap, so each pending receive holds a shared "armed" flag. Whichever of
-// {value delivery, timer} fires first disarms the flag; the loser sees the
-// disarmed flag and does nothing.
+// Implementation note on timeouts: recv_for() arms a withdrawable timer on
+// the simulator (Simulator::arm_timer). A send() that reaches the waiter
+// first withdraws the timer, so it never resumes the coroutine and is not
+// counted as an event. A timer that fires first resumes the coroutine with
+// std::nullopt, and the awaiter removes its own entry from the waiter queue.
+// Values and waiters sit in vector-backed FIFOs that allocate on first push
+// and then reuse their buffer.
 #pragma once
 
 #include <coroutine>
-#include <deque>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
 namespace dodo::sim {
+
+/// A FIFO queue in one vector. pop_front() advances a head index; a push
+/// that finds the buffer full first slides the live entries down to the
+/// front when at least half of it is dead, so a queue that drains as fast
+/// as it fills keeps one allocation. Order is preserved throughout.
+template <typename T>
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == buf_.size(); }
+  [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
+
+  void push_back(T v) {
+    if (head_ != 0 && buf_.size() == buf_.capacity() &&
+        2 * head_ >= buf_.size()) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    buf_.push_back(std::move(v));
+  }
+
+  /// Precondition: !empty().
+  T pop_front() {
+    T v = std::move(buf_[head_++]);
+    if (empty()) clear();
+    return v;
+  }
+
+  /// Removes the first live entry for which `match` holds, if any.
+  template <typename Pred>
+  void erase_first(Pred match) {
+    for (std::size_t i = head_; i < buf_.size(); ++i) {
+      if (match(buf_[i])) {
+        buf_.erase(buf_.begin() + static_cast<std::ptrdiff_t>(i));
+        if (empty()) clear();
+        return;
+      }
+    }
+  }
+
+ private:
+  void clear() {
+    buf_.clear();
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;
+  std::size_t head_ = 0;  // index of the front entry
+};
 
 template <typename T>
 class Channel {
@@ -30,16 +82,14 @@ class Channel {
 
   /// Enqueues a value; wakes one pending receiver if any (at current time).
   void send(T value) {
-    while (!waiters_.empty()) {
-      Waiter w = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (!*w.armed) continue;  // timed out already; skip the corpse
-      *w.armed = false;
-      *w.slot = std::move(value);
-      sim_->schedule_resume(sim_->now(), w.handle);
+    if (waiters_.empty()) {
+      items_.push_back(std::move(value));
       return;
     }
-    items_.push_back(std::move(value));
+    const Waiter w = waiters_.pop_front();
+    if (w.timer != Simulator::kNoTimer) sim_->withdraw_timer(w.timer);
+    *w.slot = std::move(value);
+    sim_->schedule_resume(sim_->now(), w.handle);
   }
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
@@ -59,34 +109,27 @@ class Channel {
   /// Non-blocking receive.
   std::optional<T> try_recv() {
     if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    return items_.pop_front();
   }
 
  private:
   struct Waiter {
     std::coroutine_handle<> handle;
     std::optional<T>* slot;
-    std::shared_ptr<bool> armed;
+    Simulator::TimerId timer;  // kNoTimer for recv()
   };
 
   struct RecvAwaiter {
     Channel& ch;
     std::optional<T> slot{};
-    std::shared_ptr<bool> armed{};
 
     bool await_ready() {
-      if (!ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return true;
-      }
-      return false;
+      if (ch.items_.empty()) return false;
+      slot = ch.items_.pop_front();
+      return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      armed = std::make_shared<bool>(true);
-      ch.waiters_.push_back(Waiter{h, &slot, armed});
+      ch.waiters_.push_back(Waiter{h, &slot, Simulator::kNoTimer});
     }
     T await_resume() { return std::move(*slot); }
   };
@@ -95,32 +138,28 @@ class Channel {
     Channel& ch;
     Duration timeout;
     std::optional<T> slot{};
-    std::shared_ptr<bool> armed{};
 
     bool await_ready() {
-      if (!ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return true;
-      }
-      return false;
+      if (ch.items_.empty()) return false;
+      slot = ch.items_.pop_front();
+      return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      armed = std::make_shared<bool>(true);
-      ch.waiters_.push_back(Waiter{h, &slot, armed});
-      auto flag = armed;
-      ch.sim_->schedule(ch.sim_->now() + timeout, [flag, h] {
-        if (!*flag) return;  // value arrived first
-        *flag = false;
-        h.resume();
-      });
+      const SimTime at = ch.sim_->now() + timeout;
+      ch.waiters_.push_back(Waiter{h, &slot, ch.sim_->arm_timer(at, h)});
     }
-    std::optional<T> await_resume() { return std::move(slot); }
+    std::optional<T> await_resume() {
+      if (!slot.has_value()) {  // timed out: still queued as a waiter
+        ch.waiters_.erase_first(
+            [this](const Waiter& w) { return w.slot == &slot; });
+      }
+      return std::move(slot);
+    }
   };
 
   Simulator* sim_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  Fifo<T> items_;
+  Fifo<Waiter> waiters_;
 };
 
 /// Counts outstanding work; wait() suspends until the count reaches zero.
@@ -154,7 +193,7 @@ class WaitGroup {
  private:
   Simulator* sim_;
   int count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  // woken in wait() order
 };
 
 }  // namespace dodo::sim

@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -7,80 +9,106 @@
 
 namespace dodo::sim {
 
+namespace detail {
+
+void abort_detached(std::exception_ptr e) noexcept {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr,
+                 "dodo::sim: detached task terminated with exception: %s\n",
+                 ex.what());
+  } catch (...) {
+    std::fprintf(stderr,
+                 "dodo::sim: detached task terminated with unknown "
+                 "exception\n");
+  }
+  std::abort();
+}
+
+}  // namespace detail
+
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
 Simulator::~Simulator() { destroy_detached(); }
 
 void Simulator::destroy_detached() {
-  for (auto h : detached_) {
-    if (h) h.destroy();
+  // Head first, so frames are destroyed in spawn order.
+  while (detail::DetachedHook* n = detached_.head) {
+    detached_.unlink(n);
+    auto* promise = static_cast<Co<void>::promise_type*>(n);
+    std::coroutine_handle<Co<void>::promise_type>::from_promise(*promise)
+        .destroy();
   }
-  detached_.clear();
+}
+
+void Simulator::push(SimTime t, std::coroutine_handle<> h,
+                     std::function<void()> fn, TimerId timer) {
+  if (t < now_) t = now_;
+  queue_.push_back(Event{t, next_seq_++, h, std::move(fn), timer});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  peak_queue_ = std::max(peak_queue_, queue_.size());
 }
 
 void Simulator::schedule(SimTime t, std::function<void()> fn) {
-  if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  push(t, {}, std::move(fn), kNoTimer);
 }
 
 void Simulator::schedule_resume(SimTime t, std::coroutine_handle<> h) {
-  schedule(t, [h] { h.resume(); });
+  push(t, h, {}, kNoTimer);
+}
+
+Simulator::TimerId Simulator::arm_timer(SimTime t, std::coroutine_handle<> h) {
+  TimerId id;
+  if (free_timers_.empty()) {
+    id = static_cast<TimerId>(timer_armed_.size());
+    timer_armed_.push_back(true);
+  } else {
+    id = free_timers_.back();
+    free_timers_.pop_back();
+    timer_armed_[id] = true;
+  }
+  push(t, h, {}, id);
+  return id;
+}
+
+void Simulator::withdraw_timer(TimerId id) {
+  assert(id < timer_armed_.size() && timer_armed_[id]);
+  timer_armed_[id] = false;
 }
 
 void Simulator::spawn(Co<void> task) {
   auto h = task.release();
   if (!h) return;
-  detached_.push_back(h);
-  schedule(now_, [h] { h.resume(); });
-}
-
-void Simulator::reap_finished_tasks() {
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < detached_.size(); ++i) {
-    auto h = detached_[i];
-    if (h.promise().finished) {
-      if (h.promise().exception) {
-        // A detached daemon died with an exception: that is a bug in the
-        // model, never a recoverable condition. Fail loudly.
-        try {
-          std::rethrow_exception(h.promise().exception);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr,
-                       "dodo::sim: detached task terminated with exception: "
-                       "%s\n",
-                       e.what());
-        } catch (...) {
-          std::fprintf(stderr,
-                       "dodo::sim: detached task terminated with unknown "
-                       "exception\n");
-        }
-        std::abort();
-      }
-      h.destroy();
-    } else {
-      detached_[out++] = h;
-    }
-  }
-  detached_.resize(out);
+  detached_.push_back(&h.promise());
+  schedule_resume(now_, h);
 }
 
 SimTime Simulator::run(SimTime limit) {
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_ && !event_limit_hit()) {
-    // priority_queue::top() is const; the event is copied out so the handler
-    // can schedule new events (which may reallocate the heap) safely.
-    Event ev = queue_.top();
-    if (ev.time > limit) {
+    if (queue_.front().time > limit) {
       now_ = limit;
       break;
     }
-    queue_.pop();
+    // Moved out before it runs: the handler may schedule new events, which
+    // can reallocate the heap.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     now_ = ev.time;
-    ev.fn();
+    if (ev.timer != kNoTimer) {
+      const bool armed = timer_armed_[ev.timer];
+      free_timers_.push_back(ev.timer);
+      if (!armed) continue;  // withdrawn: the clock moves, nothing runs
+    }
+    if (ev.resume) {
+      ev.resume.resume();
+    } else {
+      ev.fn();
+    }
     ++events_processed_;
-    if ((events_processed_ & 0x3ff) == 0) reap_finished_tasks();
   }
-  reap_finished_tasks();
   return now_;
 }
 

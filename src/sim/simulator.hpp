@@ -4,12 +4,17 @@
 // order, so two events scheduled for the same instant run in the order they
 // were scheduled. All Dodo daemons and applications execute as detached
 // Co<void> coroutines on this loop.
+//
+// The loop allocates nothing per event in steady state: the queue is a
+// binary heap in one vector that events are moved out of, coroutine resumes
+// carry only their handle, and a withdrawable timer's state is a slot in a
+// reused table (DESIGN.md, "Event loop invariants").
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -34,6 +39,18 @@ class Simulator {
 
   /// Schedules a coroutine resume at absolute time `t` (clamped to now).
   void schedule_resume(SimTime t, std::coroutine_handle<> h);
+
+  using TimerId = std::uint32_t;
+  static constexpr TimerId kNoTimer = ~TimerId{0};
+
+  /// Arms a withdrawable timer that resumes `h` at absolute time `t`
+  /// (clamped to now). It takes its (time, seq) place like any event.
+  TimerId arm_timer(SimTime t, std::coroutine_handle<> h);
+
+  /// Withdraws a timer armed by arm_timer() that has not fired yet. It keeps
+  /// its seq and still advances the clock when reached, but never resumes
+  /// and is not counted in events_processed().
+  void withdraw_timer(TimerId id);
 
   /// Detaches a task onto the loop; its body starts at the current time.
   /// Exceptions escaping a detached task abort the simulation (fail fast).
@@ -62,6 +79,14 @@ class Simulator {
     return events_processed_;
   }
 
+  /// Most events ever queued at once, withdrawn timers included.
+  [[nodiscard]] std::size_t peak_queue_depth() const { return peak_queue_; }
+
+  /// Most detached tasks ever alive (spawned and not yet finished) at once.
+  [[nodiscard]] std::size_t peak_detached_tasks() const {
+    return detached_.peak;
+  }
+
   /// Hard cap on total events processed; run() returns once it is reached.
   /// Guards generative (fuzz) runs against schedules that livelock at a
   /// constant sim time, where a time limit alone would never fire. 0 = off.
@@ -88,27 +113,38 @@ class Simulator {
     void await_resume() const noexcept {}
   };
 
+  /// A coroutine resume when `resume` is set, otherwise a call of `fn`.
+  /// `timer` names the slot of a withdrawable timer, else kNoTimer.
   struct Event {
     SimTime time;
     std::uint64_t seq;
+    std::coroutine_handle<> resume;
     std::function<void()> fn;
+    TimerId timer = kNoTimer;
+  };
 
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+  /// Heap order: the event that fires later sorts first.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
     }
   };
 
-  void reap_finished_tasks();
+  void push(SimTime t, std::coroutine_handle<> h, std::function<void()> fn,
+            TimerId timer);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t event_limit_ = 0;
+  std::size_t peak_queue_ = 0;
   bool stop_requested_ = false;
   Rng rng_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<std::coroutine_handle<Co<void>::promise_type>> detached_;
+  std::vector<Event> queue_;  // binary min-heap on (time, seq)
+  std::vector<bool> timer_armed_;     // per timer slot: false once withdrawn
+  std::vector<TimerId> free_timers_;  // slots of timers that have popped
+  detail::DetachedList detached_;
 };
 
 }  // namespace dodo::sim

@@ -7,12 +7,17 @@
 //
 // Ownership: a Co<T> owns its coroutine frame. Awaiting it transfers control
 // with symmetric transfer and destroys the frame when the owning Co goes out
-// of scope. Detached tasks are owned by the simulator and reaped after they
-// finish.
+// of scope. A detached task (Simulator::spawn) has no owning Co: its promise
+// links into the simulator's intrusive DetachedList, and at final_suspend the
+// task unlinks itself and frees its own frame, so a finished task's
+// parameters are destroyed before the next event runs. Only still-suspended
+// detached frames remain for Simulator::destroy_detached() to free.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -23,6 +28,43 @@ class Co;
 
 namespace detail {
 
+struct DetachedList;
+
+/// The links a detached Co<void> promise carries into its DetachedList.
+struct DetachedHook {
+  DetachedList* owner = nullptr;  // set while the task is detached
+  DetachedHook* prev = nullptr;
+  DetachedHook* next = nullptr;
+};
+
+/// Doubly linked list of the detached tasks still alive, in spawn order.
+struct DetachedList {
+  DetachedHook* head = nullptr;
+  DetachedHook* tail = nullptr;
+  std::size_t live = 0;
+  std::size_t peak = 0;  // most tasks ever alive at once
+
+  void push_back(DetachedHook* n) noexcept {
+    n->owner = this;
+    n->prev = tail;
+    n->next = nullptr;
+    (tail != nullptr ? tail->next : head) = n;
+    tail = n;
+    if (++live > peak) peak = live;
+  }
+
+  void unlink(DetachedHook* n) noexcept {
+    (n->prev != nullptr ? n->prev->next : head) = n->next;
+    (n->next != nullptr ? n->next->prev : tail) = n->prev;
+    n->owner = nullptr;
+    --live;
+  }
+};
+
+/// A detached task died with an exception: that is a bug in the model,
+/// never a recoverable condition. Prints it and aborts.
+[[noreturn]] void abort_detached(std::exception_ptr e) noexcept;
+
 struct FinalAwaiter {
   bool await_ready() noexcept { return false; }
 
@@ -31,6 +73,14 @@ struct FinalAwaiter {
       std::coroutine_handle<Promise> h) noexcept {
     auto& promise = h.promise();
     promise.finished = true;
+    if constexpr (std::is_base_of_v<DetachedHook, Promise>) {
+      if (promise.owner != nullptr) {
+        if (promise.exception) abort_detached(promise.exception);
+        promise.owner->unlink(&promise);
+        h.destroy();
+        return std::noop_coroutine();
+      }
+    }
     if (promise.continuation) return promise.continuation;
     return std::noop_coroutine();
   }
@@ -126,7 +176,7 @@ class [[nodiscard]] Co {
 template <>
 class [[nodiscard]] Co<void> {
  public:
-  struct promise_type : detail::PromiseBase {
+  struct promise_type : detail::PromiseBase, detail::DetachedHook {
     Co get_return_object() {
       return Co{std::coroutine_handle<promise_type>::from_promise(*this)};
     }

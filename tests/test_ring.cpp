@@ -295,6 +295,8 @@ TEST(Ring, RingFullBackpressure) {
     EXPECT_FALSE(ring.try_submit(make(2)));  // full: depth 2
     EXPECT_EQ(f.client.metrics().ring_full_rejects, 1u);
     co_await ring.submit(make(2));  // parks, then lands once a slot frees
+    // The parked submit() counts one reject, not one per wake-up.
+    EXPECT_EQ(f.client.metrics().ring_full_rejects, 2u);
     co_await ring.drain();
     for (int i = 0; i < 3; ++i) {
       const auto cqe = ring.try_reap();
@@ -308,6 +310,48 @@ TEST(Ring, RingFullBackpressure) {
   EXPECT_EQ(fx.client.metrics().ring_submitted, 3u);
   EXPECT_EQ(fx.client.metrics().ring_completed, 3u);
   EXPECT_LE(fx.client.metrics().ring_peak_depth, 2u);
+}
+
+TEST(Ring, ParkedSubmitCountsOneRejectPerCall) {
+  // Two submit()s park behind a depth-2 ring of non-adjacent reads, which
+  // complete one at a time. Every completion wakes both; the one that finds
+  // the ring full again re-parks without counting another reject.
+  RingFixture fx(1, RingFixture::plain());
+  fx.run([](RingFixture& f) -> Co<void> {
+    const Bytes64 rlen = 64_KiB;
+    const int rd = co_await f.client.mopen(rlen, f.fd, 0);
+    EXPECT_GE(rd, 0);
+    net::Buf data = pattern(static_cast<std::size_t>(rlen), 5);
+    EXPECT_EQ(co_await f.client.mwrite(rd, 0, data.data(), rlen), rlen);
+
+    DodoRing ring(f.sim, f.client, 2);
+    net::Buf got(static_cast<std::size_t>(rlen), 0);
+    auto make = [&](std::uint64_t i) {
+      return read_sqe(rd, static_cast<Bytes64>(i) * 8_KiB, 4_KiB,
+                      got.data() + static_cast<std::ptrdiff_t>(i * 8192), i);
+    };
+    EXPECT_TRUE(ring.try_submit(make(0)));
+    EXPECT_TRUE(ring.try_submit(make(1)));  // not adjacent: its own run
+    int landed = 0;
+    for (std::uint64_t i = 2; i < 4; ++i) {
+      f.sim.spawn([](DodoRing& r, Sqe sqe, int& n) -> Co<void> {
+        co_await r.submit(sqe);
+        ++n;
+      }(ring, make(i), landed));
+    }
+    while (landed < 2) co_await f.sim.sleep(1_ms);
+    co_await ring.drain();
+    EXPECT_EQ(f.client.metrics().ring_full_rejects, 2u);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      const auto cqe = ring.try_reap();
+      EXPECT_TRUE(cqe.has_value());
+      if (!cqe.has_value()) continue;
+      EXPECT_EQ(cqe->n, 4_KiB);
+    }
+    EXPECT_EQ(co_await f.client.mclose(rd), 0);
+  });
+  EXPECT_EQ(fx.client.metrics().ring_submitted, 4u);
+  EXPECT_EQ(fx.client.metrics().ring_completed, 4u);
 }
 
 TEST(Ring, CompletionAfterMcloseIsRetrySafe) {

@@ -2,8 +2,10 @@
 // channels, timeouts, wait groups.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -23,6 +25,7 @@ TEST(Simulator, EventsFireInTimeOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 30_ms);
+  EXPECT_EQ(sim.peak_queue_depth(), 3u);
 }
 
 TEST(Simulator, SameTimeEventsFireInScheduleOrder) {
@@ -163,17 +166,26 @@ TEST(Channel, RecvForValueBeatsTimeout) {
   Channel<int> ch(sim);
   std::optional<int> got;
   SimTime when = -1;
+  int resumes = 0;
   sim.spawn([](Simulator& s, Channel<int>& c, std::optional<int>& g,
-               SimTime& w) -> Co<void> {
+               SimTime& w, int& r) -> Co<void> {
     g = co_await c.recv_for(10_ms);
     w = s.now();
-  }(sim, ch, got, when));
+    ++r;
+    // Parks for good: a stray resume from the withdrawn timer would land
+    // here and count a second resume.
+    co_await c.recv();
+    ++r;
+  }(sim, ch, got, when, resumes));
   sim.schedule(3_ms, [&] { ch.send(7); });
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 7);
   EXPECT_EQ(when, 3_ms);
-  // The dead timer event must not resume the coroutine again.
+  EXPECT_EQ(resumes, 1);
+  // Spawn, send, resume: the withdrawn timer is not an event...
+  EXPECT_EQ(sim.events_processed(), 3u);
+  // ...but it keeps its place in the order and still advances the clock.
   EXPECT_GE(sim.now(), 10_ms);
 }
 
@@ -192,6 +204,43 @@ TEST(Channel, LateSendSkipsTimedOutWaiter) {
   EXPECT_FALSE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, 9);
+}
+
+TEST(Channel, FifoOrderSurvivesCompaction) {
+  // Bursts of sends against fewer receives keep a backlog while the head of
+  // the buffer advances, so full buffers get compacted again and again.
+  Simulator sim;
+  Channel<std::string> ch(sim);
+  int sent = 0;
+  int received = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int pushes = 1 + round % 5;
+    const int pops = 1 + (round * 7) % 4;
+    for (int i = 0; i < pushes; ++i) ch.send(std::to_string(sent++));
+    for (int i = 0; i < pops && !ch.empty(); ++i) {
+      const auto v = ch.try_recv();
+      ASSERT_TRUE(v.has_value());
+      ASSERT_EQ(*v, std::to_string(received++));
+    }
+    ASSERT_EQ(ch.size(), static_cast<std::size_t>(sent - received));
+  }
+  // A waiting receiver drains the backlog, then takes fresh values in order.
+  sim.spawn([](Channel<std::string>& c, int& r, int total) -> Co<void> {
+    while (r < total) {
+      const auto v = co_await c.recv_for(1_ms);
+      EXPECT_TRUE(v.has_value());
+      if (!v.has_value()) co_return;
+      EXPECT_EQ(*v, std::to_string(r++));
+    }
+  }(ch, received, sent + 3));
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(micros(100.0 * (i + 1)),
+                 [&ch, &sent] { ch.send(std::to_string(sent++)); });
+  }
+  sim.run();
+  EXPECT_EQ(received, sent);
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.pending_receivers(), 0u);
 }
 
 TEST(Channel, TryRecvDoesNotBlock) {
@@ -221,6 +270,63 @@ TEST(WaitGroup, WaitsForAllChildren) {
   }(sim, wg, finished_at));
   sim.run();
   EXPECT_EQ(finished_at, 30_ms);
+}
+
+/// Appends `id` to `log` when destroyed; a moved-from guard stays silent.
+struct LogOnDestroy {
+  std::vector<int>* log;
+  int id;
+  LogOnDestroy(std::vector<int>* l, int i) : log(l), id(i) {}
+  LogOnDestroy(LogOnDestroy&& o) noexcept
+      : log(std::exchange(o.log, nullptr)), id(o.id) {}
+  LogOnDestroy(const LogOnDestroy&) = delete;
+  LogOnDestroy& operator=(const LogOnDestroy&) = delete;
+  LogOnDestroy& operator=(LogOnDestroy&&) = delete;
+  ~LogOnDestroy() {
+    if (log != nullptr) log->push_back(id);
+  }
+};
+
+Co<void> holds_for(Simulator& sim, Duration d, LogOnDestroy guard) {
+  co_await sim.sleep(d);
+  (void)guard;
+}
+
+Co<void> holds_until_sent(Channel<int>& ch, LogOnDestroy guard) {
+  co_await ch.recv();
+  (void)guard;
+}
+
+TEST(Task, DetachedFrameFreedAtFinalSuspend) {
+  // The frame (and the parameters it owns) is freed when the task finishes,
+  // before the next event runs, not at some later sweep.
+  Simulator sim;
+  std::vector<int> log;
+  std::optional<std::size_t> seen;
+  sim.spawn(holds_for(sim, 1_ms, LogOnDestroy{&log, 7}));
+  sim.schedule(2_ms, [&] { seen = log.size(); });
+  sim.run();
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(*seen, 1u);
+  EXPECT_EQ(sim.peak_detached_tasks(), 1u);
+}
+
+TEST(Simulator, DestroyDetachedFreesSuspendedTasksInSpawnOrder) {
+  Simulator sim;
+  std::vector<int> log;
+  std::vector<std::unique_ptr<Channel<int>>> chans;
+  for (int i = 0; i < 4; ++i) {
+    chans.push_back(std::make_unique<Channel<int>>(sim));
+    sim.spawn(holds_until_sent(*chans.back(), LogOnDestroy{&log, i}));
+  }
+  sim.schedule(1_ms, [&] { chans[1]->send(0); });  // task 1 finishes
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1}));
+  EXPECT_EQ(sim.peak_detached_tasks(), 4u);
+  sim.destroy_detached();
+  EXPECT_EQ(log, (std::vector<int>{1, 0, 2, 3}));
+  sim.destroy_detached();  // nothing left: no double free
+  EXPECT_EQ(log.size(), 4u);
 }
 
 TEST(Simulator, StopRequestHaltsLoop) {
