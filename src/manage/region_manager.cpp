@@ -42,6 +42,30 @@ bool RegionManager::has_remote(int cd) const {
          dodo_.active(it->second.rdesc);
 }
 
+void RegionManager::touch(int cd, Region& r) {
+  if (r.resident) resident_by_access_.erase(r.last_access);
+  r.last_access = ++access_clock_;
+  if (r.resident) set_resident(cd, r, true);
+}
+
+void RegionManager::set_resident(int cd, Region& r, bool resident) {
+  if (resident) {
+    [[maybe_unused]] const bool fresh =
+        resident_by_access_.emplace(r.last_access, cd).second;
+    assert(fresh && "last_access stamps are unique");
+  } else {
+    resident_by_access_.erase(r.last_access);
+  }
+  r.resident = resident;
+}
+
+void RegionManager::forget(int cd) {
+  auto it = regions_.find(cd);
+  if (it == regions_.end()) return;
+  if (it->second.resident) resident_by_access_.erase(it->second.last_access);
+  regions_.erase(it);
+}
+
 int RegionManager::csetPolicy(Policy policy) {
   params_.policy = policy;
   return 0;
@@ -54,40 +78,30 @@ int RegionManager::select_victim(int incoming_cd) const {
       // itself loses and bypasses the local cache.
       return -1;
     case Policy::kLru:
-    case Policy::kMru: {
-      int victim = -1;
-      std::uint64_t best = 0;
-      for (const auto& [cd, r] : regions_) {
-        if (!r.resident || cd == incoming_cd) continue;
-        const bool better =
-            victim < 0 || (params_.policy == Policy::kLru
-                               ? r.last_access < best
-                               : r.last_access > best);
-        if (better) {
-          victim = cd;
-          best = r.last_access;
-        }
+      for (const auto& [at, cd] : resident_by_access_) {
+        if (cd != incoming_cd) return cd;
       }
-      return victim;
-    }
+      return -1;
+    case Policy::kMru:
+      for (auto it = resident_by_access_.rbegin();
+           it != resident_by_access_.rend(); ++it) {
+        if (it->second != incoming_cd) return it->second;
+      }
+      return -1;
   }
   return -1;
 }
 
 int RegionManager::select_safe_victim(int incoming_cd) const {
   if (params_.policy == Policy::kFirstIn) return -1;  // never displaces
-  int victim = -1;
-  std::uint64_t best = 0;
-  for (const auto& [cd, r] : regions_) {
-    if (!r.resident || cd == incoming_cd) continue;
+  for (const auto& [at, cd] : resident_by_access_) {
+    if (cd == incoming_cd) continue;
+    const Region& r = regions_.at(cd);
     if (r.dirty || !r.remote_valid) continue;
     if (r.rdesc < 0 || dodo_.replica_depth(r.rdesc) < 2) continue;
-    if (victim < 0 || r.last_access < best) {
-      victim = cd;
-      best = r.last_access;
-    }
+    return cd;
   }
-  return victim;
+  return -1;
 }
 
 sim::Co<void> RegionManager::write_to_disk(int cd, Region& r,
@@ -150,12 +164,11 @@ sim::Co<bool> RegionManager::clone_remote(int cd, Region& r,
 }
 
 sim::Co<void> RegionManager::drop_local(int cd, Region& r) {
-  (void)cd;
   if (!r.resident) co_return;
   if (r.dirty) co_await write_to_disk(cd, r);
   r.local.clear();
   r.local.shrink_to_fit();
-  r.resident = false;
+  set_resident(cd, r, false);
   resident_bytes_ -= r.len;
   ++metrics_.evictions;
 }
@@ -233,7 +246,7 @@ sim::Co<bool> RegionManager::fault_in(int cd, Region& r,
     ++metrics_.disk_fills;
     metrics_.bytes_from_disk += r.len;
   }
-  r.resident = true;
+  if (!r.resident) set_resident(cd, r, true);
   r.dirty = false;
   r.admitted_at = ++access_clock_;
   resident_bytes_ += r.len;
@@ -255,7 +268,7 @@ sim::Co<Bytes64> RegionManager::cread(int cd, Bytes64 offset,
   obs::ScopedSpan span(params_.spans, "manage.cread");
   const auto pol = static_cast<std::size_t>(params_.policy);
   if (r->resident) ++policy_hits_[pol]; else ++policy_misses_[pol];
-  r->last_access = ++access_clock_;
+  touch(cd, *r);
 
   if (!r->resident && !co_await fault_in(cd, *r, span.ctx())) {
     co_await serve_bypass_read(*r, offset, buf, n, span.ctx());
@@ -351,7 +364,7 @@ sim::Co<Bytes64> RegionManager::cwrite(int cd, Bytes64 offset,
   obs::ScopedSpan span(params_.spans, "manage.cwrite");
   const auto pol = static_cast<std::size_t>(params_.policy);
   if (r->resident) ++policy_hits_[pol]; else ++policy_misses_[pol];
-  r->last_access = ++access_clock_;
+  touch(cd, *r);
 
   if (!r->resident && !co_await fault_in(cd, *r, span.ctx())) {
     // Bypass: write through to disk and, if a valid remote copy exists,
@@ -434,7 +447,7 @@ sim::Co<int> RegionManager::cclose(int cd) {
   if (r->rdesc >= 0 && dodo_.active(r->rdesc)) {
     co_await dodo_.mclose(r->rdesc);
   }
-  regions_.erase(cd);
+  forget(cd);
   co_return 0;
 }
 
@@ -455,7 +468,7 @@ sim::Co<void> RegionManager::close_all(bool keep_remote) {
         co_await dodo_.mclose(r.rdesc);
       }
       if (r.resident) resident_bytes_ -= r.len;
-      regions_.erase(cd);  // leave the remote copy cached for the next run
+      forget(cd);  // leave the remote copy cached for the next run
     } else {
       co_await cclose(cd);
     }

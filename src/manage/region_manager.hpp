@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -139,6 +140,13 @@ class RegionManager {
 
   Region* lookup(int cd);
 
+  /// Stamps a cread/cwrite access on the region.
+  void touch(int cd, Region& r);
+  /// Admits the region to, or drops it from, the resident index.
+  void set_resident(int cd, Region& r, bool resident);
+  /// Erases the region (and its resident index entry) if it still exists.
+  void forget(int cd);
+
   /// Figure 5: frees local space for `incoming` (needs `need` bytes).
   /// Returns true if the incoming region may be admitted.
   sim::Co<bool> grim_reaper(int incoming_cd, Bytes64 need,
@@ -189,6 +197,10 @@ class RegionManager {
   std::array<std::uint64_t, 3> policy_misses_{};
 
   std::unordered_map<int, Region> regions_;
+  // Resident regions by last_access, oldest first, so a victim search walks
+  // residents only and stops at the first fit. Keys come from
+  // ++access_clock_ and are therefore unique.
+  std::map<std::uint64_t, int> resident_by_access_;
   int next_cd_ = 0;
   Bytes64 resident_bytes_ = 0;
   std::uint64_t access_clock_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -89,11 +90,14 @@ std::unique_ptr<Socket> Network::open(NodeId node, Port port) {
 
 std::unique_ptr<Socket> Network::open_ephemeral(NodeId node) {
   assert(node < node_up_.size());
-  Port port = next_ephemeral_[node]++;
-  while (bound_.count(Endpoint{node, port}) != 0) {
-    port = next_ephemeral_[node]++;
-  }
-  return open(node, port);
+  // One hash probe per candidate port: the probe that finds it free binds it.
+  std::pair<decltype(bound_)::iterator, bool> slot;
+  do {
+    slot = bound_.try_emplace(Endpoint{node, next_ephemeral_[node]++});
+  } while (!slot.second);
+  auto sock = std::unique_ptr<Socket>(new Socket(*this, slot.first->first));
+  slot.first->second = sock.get();
+  return sock;
 }
 
 void Network::set_node_up(NodeId node, bool up) {

@@ -5,20 +5,23 @@
 // were scheduled. All Dodo daemons and applications execute as detached
 // Co<void> coroutines on this loop.
 //
-// The loop allocates nothing per event in steady state: the queue is a
-// binary heap in one vector that events are moved out of, coroutine resumes
-// carry only their handle, and a withdrawable timer's state is a slot in a
-// reused table (DESIGN.md, "Event loop invariants").
+// The queue holds only live events, and allocates nothing per event in
+// steady state: heap nodes are 32-byte trivially copyable records (a
+// schedule() callback waits in a reused side slab), withdrawn timers are
+// compacted out, and events scheduled for the current instant skip the heap
+// for a FIFO (DESIGN.md, "Event loop invariants").
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "sim/fifo.hpp"
 #include "sim/task.hpp"
 
 namespace dodo::sim {
@@ -47,9 +50,10 @@ class Simulator {
   /// (clamped to now). It takes its (time, seq) place like any event.
   TimerId arm_timer(SimTime t, std::coroutine_handle<> h);
 
-  /// Withdraws a timer armed by arm_timer() that has not fired yet. It keeps
-  /// its seq and still advances the clock when reached, but never resumes
-  /// and is not counted in events_processed().
+  /// Withdraws a timer armed by arm_timer() that has not fired yet. It never
+  /// resumes and is not counted in events_processed(). Its queue entry is
+  /// dropped once withdrawn entries fill more than half the heap; run()
+  /// still returns the time the old entry would have advanced the clock to.
   void withdraw_timer(TimerId id);
 
   /// Detaches a task onto the loop; its body starts at the current time.
@@ -67,7 +71,8 @@ class Simulator {
   }
 
   /// Runs until the event queue drains, a stop is requested, or the
-  /// simulated-time limit is hit. Returns the simulated time at exit.
+  /// simulated-time limit is hit. Returns the simulated time at exit. The
+  /// clock never goes back: a limit below now() runs nothing.
   SimTime run(SimTime limit = INT64_MAX);
 
   /// Makes run() return after the event currently being processed.
@@ -79,7 +84,8 @@ class Simulator {
     return events_processed_;
   }
 
-  /// Most events ever queued at once, withdrawn timers included.
+  /// Most entries ever queued at once: live events plus the withdrawn timers
+  /// not yet compacted out (never more than the live ones).
   [[nodiscard]] std::size_t peak_queue_depth() const { return peak_queue_; }
 
   /// Most detached tasks ever alive (spawned and not yet finished) at once.
@@ -113,26 +119,31 @@ class Simulator {
     void await_resume() const noexcept {}
   };
 
-  /// A coroutine resume when `resume` is set, otherwise a call of `fn`.
-  /// `timer` names the slot of a withdrawable timer, else kNoTimer.
-  struct Event {
+  /// A coroutine resume when `resume` is set, otherwise a call of the
+  /// callback in slot `fn` of the slab. `timer` names the slot of a
+  /// withdrawable timer, else kNoTimer.
+  struct Node {
     SimTime time;
     std::uint64_t seq;
     std::coroutine_handle<> resume;
-    std::function<void()> fn;
-    TimerId timer = kNoTimer;
+    std::uint32_t fn;
+    TimerId timer;
   };
+  static_assert(std::is_trivially_copyable_v<Node> && sizeof(Node) == 32);
 
   /// Heap order: the event that fires later sorts first.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Node& a, const Node& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
-  void push(SimTime t, std::coroutine_handle<> h, std::function<void()> fn,
+  void push(SimTime t, std::coroutine_handle<> h, std::uint32_t fn,
             TimerId timer);
+
+  /// Drops every withdrawn timer from the heap and rebuilds it.
+  void compact();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -141,9 +152,18 @@ class Simulator {
   std::size_t peak_queue_ = 0;
   bool stop_requested_ = false;
   Rng rng_;
-  std::vector<Event> queue_;  // binary min-heap on (time, seq)
-  std::vector<bool> timer_armed_;     // per timer slot: false once withdrawn
-  std::vector<TimerId> free_timers_;  // slots of timers that have popped
+  std::vector<Node> heap_;  // binary min-heap on (time, seq)
+  // Non-timer events scheduled for the instant they were scheduled at. Their
+  // seqs grow, so the front is the earliest; run() merges it with the heap.
+  Fifo<Node> now_queue_;
+  std::vector<std::function<void()>> fns_;  // schedule() callbacks by slot
+  std::vector<std::uint32_t> free_fns_;
+  std::vector<bool> timer_armed_;     // per timer slot: armed, not yet fired
+  std::vector<TimerId> free_timers_;  // slots no longer in the heap
+  std::size_t withdrawn_ = 0;         // withdrawn timers still in the heap
+  // Latest time of a withdrawn timer compacted out of the heap: a run() that
+  // drains the queue advances the clock to it, as popping it would have.
+  SimTime withdrawn_horizon_ = 0;
   detail::DetachedList detached_;
 };
 

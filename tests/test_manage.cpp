@@ -31,10 +31,10 @@ struct Fixture {
   int fd = -1;
 
   explicit Fixture(ManageParams mp = {}, int hosts = 1,
-                   Bytes64 pool = 32_MiB)
+                   Bytes64 pool = 32_MiB, core::CmdParams cp = {})
       : net(sim, net::NetParams::unet(),
             static_cast<std::size_t>(hosts) + 2),
-        cmd(sim, net, 0),
+        cmd(sim, net, 0, cp),
         fs(sim),
         client(sim, net, 1, net::Endpoint{0, core::kCmdPort}, fs, {}),
         mgr(sim, client, fs, mp) {
@@ -229,6 +229,32 @@ TEST(Manage, LruAccountsHitsAndVictimOrder) {
   const auto s = fx.mgr.metrics_snapshot();
   EXPECT_EQ(s.counter_value("manage.policy.lru.hits"), 2u);
   EXPECT_EQ(s.counter_value("manage.policy.lru.misses"), 5u);
+}
+
+TEST(Manage, ReplicaSafeVictimGoesBeforeColderUnclonedRegion) {
+  ManageParams mp;
+  mp.local_cache_bytes = 256_KiB;
+  mp.policy = Policy::kLru;
+  core::CmdParams cp;
+  cp.replica_count = 2;
+  Fixture fx(mp, /*hosts=*/2, 32_MiB, cp);
+  fx.run([](Fixture& f) -> Co<void> {
+    const int a = f.mgr.copen(128_KiB, f.fd, 0);
+    const int b = f.mgr.copen(128_KiB, f.fd, 128_KiB);
+    const int c = f.mgr.copen(128_KiB, f.fd, 256_KiB);
+    co_await f.mgr.cread(a, 0, nullptr, 64);  // miss -> {a}
+    co_await f.mgr.cread(b, 0, nullptr, 64);  // miss -> {a,b}
+    co_await f.mgr.csync(b);  // b: clean and current on both replicas
+    co_await f.mgr.cread(b, 0, nullptr, 64);  // hit: a is now the coldest
+    // The pre-pass walks past a (never pushed to remote memory) and drops
+    // b, which costs no I/O.
+    co_await f.mgr.cread(c, 0, nullptr, 64);
+    EXPECT_TRUE(f.mgr.resident(a));
+    EXPECT_FALSE(f.mgr.resident(b));
+    EXPECT_TRUE(f.mgr.resident(c));
+  });
+  EXPECT_EQ(fx.mgr.metrics().reaper_victims, 1u);
+  EXPECT_EQ(fx.mgr.metrics().replica_safe_evictions, 1u);
 }
 
 TEST(Manage, MruAccountsHitsAndVictimOrder) {

@@ -2,12 +2,17 @@
 // channels, timeouts, wait groups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
@@ -360,6 +365,305 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(t1, t2);
   auto [b1, tb] = run_once(100);
   EXPECT_NE(a1, b1);
+}
+
+
+// A withdrawn timer never resumes its handle, so these tests arm their
+// throwaway timers against a coroutine that does nothing.
+std::coroutine_handle<> no_coroutine() { return std::noop_coroutine(); }
+
+TEST(Simulator, DrainReturnsLatestWithdrawnTimerTime) {
+  Simulator sim;
+  std::vector<Simulator::TimerId> ids;
+  ids.push_back(sim.arm_timer(50_ms, no_coroutine()));
+  ids.push_back(sim.arm_timer(80_ms, no_coroutine()));
+  sim.schedule(10_ms, [&] {
+    for (const auto id : ids) sim.withdraw_timer(id);
+  });
+  // The timers are gone from the queue, but run() still ends where popping
+  // them would have left the clock: at the limit while one lies beyond it,
+  // at the latest one once the limit allows.
+  EXPECT_EQ(sim.run(60_ms), 60_ms);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.run(), 80_ms);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Simulator, StopWithWithdrawnTimersPendingKeepsStopTime) {
+  Simulator sim;
+  const auto a = sim.arm_timer(50_ms, no_coroutine());
+  const auto b = sim.arm_timer(80_ms, no_coroutine());
+  sim.schedule(10_ms, [&] {
+    sim.withdraw_timer(a);
+    sim.withdraw_timer(b);
+    sim.request_stop();
+  });
+  EXPECT_EQ(sim.run(), 10_ms);
+  EXPECT_EQ(sim.now(), 10_ms);
+  EXPECT_EQ(sim.run(), 80_ms);  // a later run() still drains to them
+}
+
+TEST(Simulator, ScheduleAtNowRunsAfterQueuedSameTimeEvents) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule(5_ms, [&] {
+    order.push_back('a');
+    sim.schedule(sim.now(), [&] { order.push_back('d'); });
+  });
+  sim.schedule(5_ms, [&] { order.push_back('b'); });
+  sim.schedule(5_ms, [&] { order.push_back('c'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd'}));
+}
+
+TEST(Simulator, ResumeAtNowRunsAfterQueuedSameTimeEvents) {
+  Simulator sim;
+  Channel<int> ch(sim);
+  std::vector<char> order;
+  sim.spawn([](Channel<int>& c, std::vector<char>& o) -> Co<void> {
+    co_await c.recv();
+    o.push_back('r');
+  }(ch, order));
+  sim.schedule(5_ms, [&] {
+    order.push_back('a');
+    ch.send(1);  // schedule_resume(now) of the parked receiver
+  });
+  sim.schedule(5_ms, [&] { order.push_back('b'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'r'}));
+}
+
+TEST(Simulator, WithdrawnTimersDoNotAccumulate) {
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 1; i <= 3; ++i) {
+    sim.spawn([](Simulator& s, std::vector<int>& f, int n) -> Co<void> {
+      Channel<int> never(s);
+      co_await never.recv_for(n * 1_s);
+      f.push_back(n);
+    }(sim, fired, 4 - i));
+  }
+  sim.schedule(1_ms, [&] {
+    for (int i = 0; i < 10000; ++i) {
+      sim.withdraw_timer(sim.arm_timer(10_s + i * 1_us, no_coroutine()));
+    }
+  });
+  EXPECT_EQ(sim.run(), 10_s + 9999_us);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.events_processed(), 7u);  // 3 spawns, 1 callback, 3 timers
+  EXPECT_LE(sim.peak_queue_depth(), 8u);
+}
+
+// Randomized differential test: seeded mixes of schedule, spawn, sleep,
+// arm and withdraw run on Simulator and on a naive reference queue that
+// keeps withdrawn timers until they are popped. Both must fire the same
+// steps at the same times and end at the same now().
+
+/// The reference: a std::map keyed by (time, seq), popped in order. A
+/// withdrawn timer stays queued and advances the clock when popped.
+class ReferenceQueue {
+ public:
+  using Timer = std::size_t;
+
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::uint64_t events() const { return events_; }
+
+  void schedule(SimTime t, std::function<void()> fn) {
+    push(t, std::move(fn), kNone);
+  }
+  Timer arm(SimTime t, std::function<void()> fn) {
+    withdrawn_.push_back(false);
+    push(t, std::move(fn), withdrawn_.size() - 1);
+    return withdrawn_.size() - 1;
+  }
+  void withdraw(Timer id) { withdrawn_[id] = true; }
+
+  SimTime run(SimTime limit) {
+    while (!queue_.empty()) {
+      auto it = queue_.begin();
+      if (it->first.first > limit) {
+        now_ = std::max(now_, limit);
+        break;
+      }
+      auto [fn, timer] = std::move(it->second);
+      now_ = it->first.first;
+      queue_.erase(it);
+      if (timer != kNone && withdrawn_[timer]) continue;
+      fn();
+      ++events_;
+    }
+    return now_;
+  }
+
+ private:
+  static constexpr Timer kNone = ~Timer{0};
+
+  void push(SimTime t, std::function<void()> fn, Timer timer) {
+    queue_.emplace(std::pair{std::max(t, now_), seq_++},
+                   std::pair{std::move(fn), timer});
+  }
+
+  SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t events_ = 0;
+  std::map<std::pair<SimTime, std::uint64_t>,
+           std::pair<std::function<void()>, Timer>>
+      queue_;
+  std::vector<bool> withdrawn_;
+};
+
+/// The workload, shared by both engines: every step logs (id, now) and then
+/// draws a few random operations. Engine supplies now(), schedule(),
+/// withdraw() and the two task shapes, spawn_worker (start, sleep, step
+/// again) and spawn_timer (start, arm a timer, step when it fires).
+template <typename Engine>
+struct Workload {
+  Workload(Engine& e, std::uint64_t seed) : eng(e), rng(seed) {}
+
+  Engine& eng;
+  Rng rng;
+  int budget = 4000;  // operations left to draw
+  int next_id = 0;
+  std::vector<std::pair<int, SimTime>> log;
+  std::vector<std::pair<int, typename Engine::Timer>> armed;
+
+  Duration delay() {
+    switch (rng.below(4)) {
+      case 0: return 0;  // the same instant
+      case 1: return static_cast<Duration>(rng.below(3)) * 1_us;
+      case 2: return static_cast<Duration>(rng.below(200)) * 1_us;
+      default: return static_cast<Duration>(rng.below(20)) * 1_ms;
+    }
+  }
+
+  void step(int id) {
+    log.emplace_back(id, eng.now());
+    for (auto n = 1 + rng.below(2); n > 0 && budget > 0; --n, --budget) {
+      const Duration d = delay();
+      switch (rng.below(5)) {
+        case 0: {
+          const int id2 = next_id++;
+          eng.schedule(eng.now() + d, [this, id2] { step(id2); });
+          break;
+        }
+        case 1:
+          eng.spawn_worker(*this, next_id, d);
+          next_id += 2;
+          break;
+        case 2:
+        case 3:
+          eng.spawn_timer(*this, next_id++, d);
+          break;
+        default:
+          if (!armed.empty()) {
+            const auto i = static_cast<std::ptrdiff_t>(rng.below(armed.size()));
+            eng.withdraw(armed[static_cast<std::size_t>(i)].second);
+            armed.erase(armed.begin() + i);
+          }
+      }
+    }
+  }
+
+  void fired(int id) {
+    std::erase_if(armed, [id](const auto& a) { return a.first == id; });
+    step(id);
+  }
+};
+
+struct SimEngine {
+  using Timer = Simulator::TimerId;
+  Simulator& sim;
+
+  [[nodiscard]] SimTime now() const { return sim.now(); }
+  void schedule(SimTime t, std::function<void()> fn) {
+    sim.schedule(t, std::move(fn));
+  }
+  void withdraw(Timer id) { sim.withdraw_timer(id); }
+
+  template <typename W>
+  static Co<void> worker(W& w, int id, Duration d) {
+    w.step(id);
+    co_await w.eng.sim.sleep(d);
+    w.step(id + 1);
+  }
+
+  template <typename W>
+  struct ArmAwaiter {
+    W& w;
+    int id;
+    Duration d;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      Simulator& s = w.eng.sim;
+      w.armed.emplace_back(id, s.arm_timer(s.now() + d, h));
+    }
+    void await_resume() const noexcept {}
+  };
+
+  template <typename W>
+  static Co<void> timer_task(W& w, int id, Duration d) {
+    co_await ArmAwaiter<W>{w, id, d};
+    w.fired(id);
+  }
+
+  template <typename W>
+  void spawn_worker(W& w, int id, Duration d) {
+    sim.spawn(worker(w, id, d));
+  }
+  template <typename W>
+  void spawn_timer(W& w, int id, Duration d) {
+    sim.spawn(timer_task(w, id, d));
+  }
+};
+
+struct ReferenceEngine {
+  using Timer = ReferenceQueue::Timer;
+  ReferenceQueue& q;
+
+  [[nodiscard]] SimTime now() const { return q.now(); }
+  void schedule(SimTime t, std::function<void()> fn) {
+    q.schedule(t, std::move(fn));
+  }
+  void withdraw(Timer id) { q.withdraw(id); }
+
+  // Each task is the callback chain its coroutine's events would run.
+  template <typename W>
+  void spawn_worker(W& w, int id, Duration d) {
+    q.schedule(q.now(), [this, &w, id, d] {
+      w.step(id);
+      q.schedule(q.now() + d, [&w, id] { w.step(id + 1); });
+    });
+  }
+  template <typename W>
+  void spawn_timer(W& w, int id, Duration d) {
+    q.schedule(q.now(), [this, &w, id, d] {
+      w.armed.emplace_back(id, q.arm(q.now() + d, [&w, id] { w.fired(id); }));
+    });
+  }
+};
+
+TEST(Simulator, MatchesNaiveReferenceQueue) {
+  // Repeated and backward limits included: the clock never goes back.
+  const SimTime limits[] = {2_ms, 2_ms, 9_ms, 5_ms, 10_ms, 25_ms, INT64_MAX};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Simulator sim;
+    SimEngine se{sim};
+    Workload<SimEngine> ws(se, seed);
+    ReferenceQueue q;
+    ReferenceEngine re{q};
+    Workload<ReferenceEngine> wr(re, seed);
+    for (int i = 0; i < 3; ++i) {
+      ws.step(ws.next_id++);
+      wr.step(wr.next_id++);
+    }
+    for (const SimTime limit : limits) {
+      const SimTime got = sim.run(limit);
+      const SimTime want = q.run(limit);
+      ASSERT_EQ(got, want) << "seed " << seed << " limit " << limit;
+      ASSERT_EQ(ws.log, wr.log) << "seed " << seed << " limit " << limit;
+    }
+    EXPECT_EQ(sim.events_processed(), q.events()) << "seed " << seed;
+  }
 }
 
 }  // namespace
